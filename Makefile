@@ -12,8 +12,10 @@ GO ?= go
 # impairment-pipeline smoke.
 check: vet build race bench-guard sweep-smoke hybrid-smoke hybrid-scale-smoke churn-smoke fuzz-smoke chaos-smoke impairment-smoke
 
+# vet runs go vet and fails if gofmt would reformat any file.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -73,12 +75,12 @@ hybrid-scale-smoke:
 # allocator's recycle/conservation/hysteresis tests and steady-state
 # allocation guards, then a quick netco-bench churn run whose digest —
 # per-epoch live flow rates, live counts and settle counts — must be
-# bit-identical between serial and 4-worker parallel settle (the bench
-# exits nonzero on divergence).
+# bit-identical between the incremental allocator and the FullResettle
+# oracle (the bench exits nonzero on divergence).
 churn-smoke:
 	$(GO) test ./internal/traffic/ -run 'TestFluidFlowRecycle|TestFluidChurn|TestFluidDemoteHysteresis|TestFluidSettleSteadyStateAllocs' -count 1
-	$(GO) run ./cmd/netco-bench -churn -quick -churn-workers 4
-	@echo "churn-smoke: lifecycle accounting clean, digest bit-identical serial vs parallel settle"
+	$(GO) run ./cmd/netco-bench -churn -quick
+	@echo "churn-smoke: lifecycle accounting clean, digest bit-identical incremental vs FullResettle"
 
 # fuzz-smoke is the scenario fuzzer's pre-merge budget: 200 randomized
 # Byzantine scenarios through all four invariant oracles (masking,
@@ -132,8 +134,8 @@ fuzz:
 # additionally exercises every benchmark body so a bench that starts
 # allocating is noticed in its -benchmem output.
 bench-guard:
-	$(GO) test -run '^$$' -bench 'SteadyState|Churn|EngineExpire' -benchtime 1x -benchmem \
-		./internal/core/ ./internal/sim/ ./internal/traffic/
+	$(GO) test -run '^$$' -bench 'SteadyState|Churn|EngineExpire|FluidNewFlow' -benchtime 1x -benchmem \
+		./internal/core/ ./internal/sim/ ./internal/traffic/ ./internal/experiment/
 	$(GO) test -run '^$$' -bench 'FlowTableLookup|SwitchPipeline' -benchtime 1x -benchmem \
 		./internal/openflow/ ./internal/switching/
 
@@ -160,8 +162,9 @@ bench-hybrid:
 # BENCH_10.json: the arity-90 fat tree (10125 switches, 182250 hosts)
 # under 600k flow arrivals per sim-second for one simulated second —
 # 1M+ lifecycle events per sim-second through arena-recycled flows,
-# wheel-timed departures and per-component parallel settle. The bench
-# runs serial first and exits nonzero if the parallel digest diverges.
+# wheel-timed departures and per-component incremental settle. The
+# bench runs the FullResettle oracle first and exits nonzero if the
+# incremental digest diverges.
 bench-churn:
 	$(GO) run ./cmd/netco-bench -churn
 

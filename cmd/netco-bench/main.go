@@ -8,7 +8,7 @@
 //	            [-scale] [-hybrid] [-churn] [-parallel n] [-full] [-quick] [-seed n]
 //	            [-hybrid-arity k] [-hybrid-flows-per-host n] [-hybrid-monitored n]
 //	            [-hybrid-promote-rho r] [-hybrid-build-budget-ms b]
-//	            [-churn-arity k] [-churn-rate a] [-churn-workers n]
+//	            [-churn-arity k] [-churn-rate a]
 //	            [-cpuprofile f] [-memprofile f] [-json f]
 //
 // Without selection flags, -all is assumed. -full uses the paper's
@@ -72,16 +72,15 @@ func run() error {
 		hybRho       = flag.Float64("hybrid-promote-rho", 0, "bottleneck utilisation that promotes a hybrid fluid flow to packets (0 = promotion by region crossing only)")
 		hybBudgetMS  = flag.Float64("hybrid-build-budget-ms", 0, "fail if the hybrid build (topo+wire+flows) exceeds this many milliseconds (0 = no ceiling; regression guard for make hybrid-scale-smoke)")
 
-		churnArity   = flag.Int("churn-arity", 0, "override the churn fat-tree arity (0 = 90, the BENCH_10 point)")
-		churnRate    = flag.Float64("churn-rate", 0, "override the churn arrival rate in flows per sim-second (0 = BENCH_10 default)")
-		churnWorkers = flag.Int("churn-workers", 0, "override the churn parallel-settle worker count (0 = one per core; digest is checked against a serial run either way)")
-		all          = flag.Bool("all", false, "reproduce everything")
-		full         = flag.Bool("full", false, "paper-faithful durations (10s × 10 runs)")
-		quick        = flag.Bool("quick", false, "smoke-test durations")
-		seed         = flag.Int64("seed", 1, "simulation seed")
-		serial       = flag.Bool("serial", false, "run scenarios sequentially (default: one worker per core)")
-		para         = flag.Int("parallel", 0, "run each simulation on the parallel engine with this many partitions (0/1 = serial engine; results are bit-identical)")
-		csvDir       = flag.String("csv", "", "also write each figure's data as CSV files into this directory")
+		churnArity = flag.Int("churn-arity", 0, "override the churn fat-tree arity (0 = 90, the BENCH_10 point)")
+		churnRate  = flag.Float64("churn-rate", 0, "override the churn arrival rate in flows per sim-second (0 = BENCH_10 default)")
+		all        = flag.Bool("all", false, "reproduce everything")
+		full       = flag.Bool("full", false, "paper-faithful durations (10s × 10 runs)")
+		quick      = flag.Bool("quick", false, "smoke-test durations")
+		seed       = flag.Int64("seed", 1, "simulation seed")
+		serial     = flag.Bool("serial", false, "run scenarios sequentially (default: one worker per core)")
+		para       = flag.Int("parallel", 0, "run each simulation on the parallel engine with this many partitions (0/1 = serial engine; results are bit-identical)")
+		csvDir     = flag.String("csv", "", "also write each figure's data as CSV files into this directory")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (post-GC) at exit to this file")
@@ -388,9 +387,9 @@ func run() error {
 		// arrivals per sim-second. Mean flow lifetime is 8·size/demand
 		// = 20 ms, so steady state holds ~12k concurrent flows while
 		// arrivals+departures together clear 1M lifecycle events per
-		// simulated second — the tentpole target. The digest is checked
-		// against a serial-settle run, so the headline numbers come
-		// from a configuration whose determinism was just proven.
+		// simulated second. The digest is checked against a
+		// FullResettle oracle run, so the headline numbers come from an
+		// incremental allocator that was just shown bit-equal to it.
 		hp := netco.DefaultHybridParams()
 		hp.Arity = 90
 		hp.FlowDemand = 15e6
@@ -411,33 +410,29 @@ func run() error {
 		if *churnRate > 0 {
 			hp.ChurnArrivals = *churnRate
 		}
-		workers := runtime.GOMAXPROCS(0)
-		if *churnWorkers > 0 {
-			workers = *churnWorkers
-		}
 		fmt.Printf("== Extension: churn-scale flow lifecycle (%d-ary fat tree, %.0f arrivals/sim-s) ==\n",
 			hp.Arity, hp.ChurnArrivals)
-		hp.SettleWorkers = 1
-		serialRun := netco.RunChurn(p, hp)
-		hp.SettleWorkers = workers
+		hp.FullResettle = true
+		oracle := netco.RunChurn(p, hp)
+		hp.FullResettle = false
 		wall := time.Now()
 		r := netco.RunChurn(p, hp)
 		secs := time.Since(wall).Seconds()
 		var mem runtime.MemStats
 		runtime.ReadMemStats(&mem)
 		peakHeapMB := float64(mem.HeapSys-mem.HeapReleased) / (1 << 20)
-		if r.Digest != serialRun.Digest {
-			return fmt.Errorf("churn: digest diverged between serial and %d-worker settle", workers)
+		if r.Digest != oracle.Digest {
+			return fmt.Errorf("churn: digest diverged between incremental and FullResettle settle")
 		}
 		fmt.Printf("  %d switches, %d hosts; build %.0f ms (topo %.0f, wire %.0f)\n",
 			r.Switches, r.Hosts, r.BuildTopoMS+r.BuildWireMS, r.BuildTopoMS, r.BuildWireMS)
 		fmt.Printf("  %d arrivals, %d departures, peak %d live, %d recycled, %d wheel expiries\n",
 			r.Arrivals, r.Departures, r.PeakLive, r.Recycled, r.WheelExpired)
-		fmt.Printf("  %d settles over %d components (%d workers); %.3g lifecycle events/sim-s\n",
-			r.Settles, r.ComponentsSolved, workers, r.LifecycleEventsPerSimSec)
+		fmt.Printf("  %d settles over %d components; %.3g lifecycle events/sim-s\n",
+			r.Settles, r.ComponentsSolved, r.LifecycleEventsPerSimSec)
 		fmt.Printf("  goodput %.1f Mbit/s aggregate; %.2fs wall, peak heap %.0f MiB\n",
 			r.DeliveredBits/hp.Duration.Seconds()/1e6, secs, peakHeapMB)
-		fmt.Printf("  digest bit-identical: serial vs %d-worker settle\n", workers)
+		fmt.Println("  digest bit-identical: incremental vs FullResettle settle")
 		metrics["churn.arity"] = float64(r.Arity)
 		metrics["churn.switches"] = float64(r.Switches)
 		metrics["churn.hosts"] = float64(r.Hosts)
@@ -449,7 +444,6 @@ func run() error {
 		metrics["churn.events"] = float64(r.Events)
 		metrics["churn.settles"] = float64(r.Settles)
 		metrics["churn.settle_components"] = float64(r.ComponentsSolved)
-		metrics["churn.settle_workers"] = float64(workers)
 		metrics["churn.arrivals_per_sim_s"] = r.ArrivalsPerSimSec
 		metrics["churn.lifecycle_events_per_sim_s"] = r.LifecycleEventsPerSimSec
 		metrics["churn.goodput_mbps"] = r.DeliveredBits / hp.Duration.Seconds() / 1e6

@@ -20,10 +20,10 @@ import (
 //   - arena-recycled flows: FluidNet free-lists released flow objects
 //     (and this engine free-lists its churnFlow records), so steady-
 //     state churn allocates nothing per flow;
-//   - parallel per-component settle: arrivals land pod-local by
-//     default, so the fabric decomposes into ~Arity independent
-//     allocator components that SettleWorkers solves concurrently,
-//     bit-identical to serial;
+//   - per-component incremental settle over a dense flow/direction
+//     graph: arrivals land pod-local by default, so the fabric
+//     decomposes into ~Arity independent allocator components and a
+//     settle re-solves only the ones an arrival or departure touched;
 //   - a hierarchical timer wheel: each flow's departure is one wheel
 //     entry; a churn epoch costs O(expiring flows), not O(log n) heap
 //     churn per arm/fire.
@@ -38,15 +38,13 @@ import (
 // than an outcome. Everything random is drawn from one sim.RNG seeded
 // by Params.Seed in event order, so a run is a pure function of its
 // inputs; the digest folds per-epoch allocator state and must be
-// bit-identical at any SettleWorkers count and under the FullResettle
-// oracle.
+// bit-identical under the FullResettle oracle.
 
 // ChurnResult is one churn run's outcome.
 type ChurnResult struct {
-	Arity         int `json:"arity"`
-	Hosts         int `json:"hosts"`
-	Switches      int `json:"switches"`
-	SettleWorkers int `json:"settle_workers"`
+	Arity    int `json:"arity"`
+	Hosts    int `json:"hosts"`
+	Switches int `json:"switches"`
 
 	// Arrivals and Departures count natural lifecycle events inside
 	// Duration (the end-of-run drain releases EndLive flows without
@@ -81,8 +79,7 @@ type ChurnResult struct {
 
 	// Digest is the determinism witness: FNV-64a over per-epoch
 	// (live flow rate bits, live count, settles) samples plus the final
-	// accounting, bit-identical across SettleWorkers counts and the
-	// FullResettle oracle.
+	// accounting, bit-identical to the FullResettle oracle's.
 	Digest string `json:"digest"`
 }
 
@@ -280,9 +277,8 @@ func RunChurn(p Params, hp HybridParams) ChurnResult {
 	fb := buildFluidFabric(sched, nw, p, hp.Arity)
 
 	fn := traffic.NewFluidNet(sched, traffic.FluidConfig{
-		Epoch:         hp.Epoch,
-		SettleWorkers: hp.SettleWorkers,
-		FullResettle:  hp.FullResettle,
+		Epoch:        hp.Epoch,
+		FullResettle: hp.FullResettle,
 	})
 	e := &churnEngine{
 		sched:     sched,
@@ -324,7 +320,6 @@ func RunChurn(p Params, hp HybridParams) ChurnResult {
 		Arity:                    hp.Arity,
 		Hosts:                    len(fb.hosts),
 		Switches:                 fb.switches(),
-		SettleWorkers:            hp.SettleWorkers,
 		Arrivals:                 e.arrivals,
 		Departures:               natDepartures,
 		EndLive:                  endLive,

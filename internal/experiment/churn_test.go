@@ -56,26 +56,17 @@ func TestChurnLifecycleAccounting(t *testing.T) {
 	}
 }
 
-// TestChurnDigestAcrossSettleWorkers is the tentpole's determinism
+// TestChurnDigestMatchesFullResettle is the churn engine's determinism
 // gate: the digest — per-epoch live flow rates, live counts and
-// settle counts plus the final accounting — must be bit-identical at
-// every SettleWorkers count and under the FullResettle oracle.
-func TestChurnDigestAcrossSettleWorkers(t *testing.T) {
+// settle counts plus the final accounting — must be bit-identical
+// between the incremental allocator and the FullResettle oracle.
+func TestChurnDigestMatchesFullResettle(t *testing.T) {
 	p, hp := quickChurn()
 	hp.ChurnCrossFrac = 0.1 // exercise component merging too
 	base := RunChurn(p, hp)
 	if base.Digest == "" {
 		t.Fatal("empty digest")
 	}
-	for _, workers := range []int{2, 4, 8} {
-		hp.SettleWorkers = workers
-		r := RunChurn(p, hp)
-		if r.Digest != base.Digest {
-			t.Fatalf("digest diverged at %d workers:\nserial:   %s\nparallel: %s",
-				workers, base.Digest, r.Digest)
-		}
-	}
-	hp.SettleWorkers = 4
 	hp.FullResettle = true
 	r := RunChurn(p, hp)
 	if r.Digest != base.Digest {

@@ -25,6 +25,12 @@ type fluidFabric struct {
 	ft    *topo.FatTree
 	hosts []*traffic.Host
 
+	// hostUp[g] and hostDown[g] are host g's access hops, resolved once
+	// at build: host→edge (the host's transmit end) and edge→host.
+	// pathFor reads them instead of chasing the host's port table on
+	// every arrival.
+	hostUp, hostDown []traffic.Hop
+
 	// Build-time breakdown (wall clock): switches + trunk links, then
 	// host builds + host links. Provenance only.
 	topoMS, wireMS float64
@@ -66,11 +72,17 @@ func buildFluidFabric(sched *sim.Scheduler, nw *netem.Network, p Params, arity i
 		nw.Add(h)
 	}
 	hostBatch := nw.ReserveLinks(len(hosts))
+	hostUp := make([]traffic.Hop, len(hosts))
+	hostDown := make([]traffic.Hop, len(hosts))
 	pool.Map(context.Background(), buildWorkers(p.Workers), arity, func(pod int) (struct{}, error) {
 		for e := 0; e < half; e++ {
 			for s := 0; s < half; s++ {
 				g := pod*perPod + e*half + s
-				hostBatch.Connect(g, hosts[g], traffic.HostPort, ft.Pods[pod].Edge[e], ft.EdgeHostPortOf(s), p.HostLink())
+				// Connect binds its first node at end 0: the host
+				// transmits from end 0, the edge switch from end 1.
+				l := hostBatch.Connect(g, hosts[g], traffic.HostPort, ft.Pods[pod].Edge[e], ft.EdgeHostPortOf(s), p.HostLink())
+				hostUp[g] = traffic.Hop{Link: l, End: 0}
+				hostDown[g] = traffic.Hop{Link: l, End: 1}
 			}
 		}
 		return struct{}{}, nil
@@ -80,6 +92,7 @@ func buildFluidFabric(sched *sim.Scheduler, nw *netem.Network, p Params, arity i
 	return &fluidFabric{
 		arity: arity, half: half, perPod: perPod,
 		ft: ft, hosts: hosts,
+		hostUp: hostUp, hostDown: hostDown,
 		topoMS: topoMS, wireMS: wireMS,
 	}
 }
@@ -101,16 +114,16 @@ func (fb *fluidFabric) hopOf(n netem.Node, port int) traffic.Hop {
 // destination pod — the same choice installFatTreeRoutes materialises
 // as flow entries).
 func (fb *fluidFabric) pathFor(srcG, dstG int, hops []traffic.Hop) []traffic.Hop {
-	half, perPod, ft, hosts := fb.half, fb.perPod, fb.ft, fb.hosts
+	half, perPod, ft := fb.half, fb.perPod, fb.ft
 	sp, sl := srcG/perPod, srcG%perPod
 	dp, dl := dstG/perPod, dstG%perPod
 	se := sl / half
 	de, ds := dl/half, dl%half
 	jd, md := ds%half, dp%half
 
-	hops = append(hops, fb.hopOf(hosts[srcG], traffic.HostPort))
+	hops = append(hops, fb.hostUp[srcG])
 	if sp == dp && se == de {
-		return append(hops, fb.hopOf(ft.Pods[dp].Edge[de], ft.EdgeHostPortOf(ds)))
+		return append(hops, fb.hostDown[dstG])
 	}
 	hops = append(hops, fb.hopOf(ft.Pods[sp].Edge[se], ft.EdgeUpPortOf(jd)))
 	if sp != dp {
@@ -119,9 +132,7 @@ func (fb *fluidFabric) pathFor(srcG, dstG int, hops []traffic.Hop) []traffic.Hop
 			fb.hopOf(ft.Pods[sp].Agg[jd], ft.AggUpPortOf(md)),
 			fb.hopOf(cw, ft.CorePodPortOf(dp)))
 	}
-	return append(hops,
-		fb.hopOf(ft.Pods[dp].Agg[jd], ft.AggDownPortOf(de)),
-		fb.hopOf(ft.Pods[dp].Edge[de], ft.EdgeHostPortOf(ds)))
+	return append(hops, fb.hopOf(ft.Pods[dp].Agg[jd], ft.AggDownPortOf(de)), fb.hostDown[dstG])
 }
 
 // routeFor builds the node-name route srcG→dstG. Only monitored flows

@@ -118,10 +118,6 @@ type HybridParams struct {
 	// DemoteRho may demote a flow (default one epoch): the cooldown
 	// half of the hysteresis.
 	DemoteAfter time.Duration
-	// SettleWorkers parallelises the fluid allocator's per-component
-	// settle (see traffic.FluidConfig.SettleWorkers). Results are
-	// bit-identical at any worker count; 0 or 1 is serial.
-	SettleWorkers int
 	// FullResettle forces the allocator's full progressive-filling
 	// oracle on every settle — differential-test mode, never faster.
 	FullResettle bool
@@ -322,7 +318,7 @@ func RunHybrid(p Params, hp HybridParams) HybridResult {
 	flows := make([]*hybridFlow, total)
 	var promotions, demotions, congPromotions, congDemotions uint64
 	congSlots := 0
-	fcfg := traffic.FluidConfig{Epoch: hp.Epoch, SettleWorkers: hp.SettleWorkers, FullResettle: hp.FullResettle}
+	fcfg := traffic.FluidConfig{Epoch: hp.Epoch, FullResettle: hp.FullResettle}
 	if hp.PromoteRho > 0 && !hp.PacketFabric {
 		fcfg.CongestionRho = hp.PromoteRho
 		fcfg.OnCongested = func(f *traffic.FluidFlow, _ float64) {

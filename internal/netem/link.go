@@ -150,8 +150,9 @@ type Link struct {
 	id   uint64
 	// denseIdx is the link's position in its Network's creation-order
 	// link list, or -1 for links built outside a Network. The fluid
-	// tier uses it to index per-(link, direction) state with a slice
-	// instead of a map.
+	// tier (traffic.FluidNet) keeps its per-(link, direction) state in
+	// a slice at 2*denseIdx+end instead of a map, and the impairment
+	// pipelines seed from it.
 	denseIdx int
 	// scheds[end] is the scheduler of the node attached at end; both
 	// entries are the same scheduler unless the link crosses partitions.

@@ -109,8 +109,8 @@ func TestMapPanicOrdering(t *testing.T) {
 }
 
 // TestMapConcurrent drives many Maps from many goroutines at once —
-// the race-detector leg for the shared fan-out used by parallel settle
-// and topology builds (go test -race ./internal/pool/).
+// the race-detector leg for the shared fan-out used by sweeps and
+// topology builds (go test -race ./internal/pool/).
 func TestMapConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

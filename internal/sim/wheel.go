@@ -40,14 +40,15 @@ import (
 // grown to the working set.
 
 const (
-	wheelSlots  = 256 // slots per level (power of two: mask indexing)
+	// wheelSlots is the slot count per level (power of two: mask
+	// indexing). The addressable range is the 256 top-level windows
+	// starting at the wheel position's own (256^4 ticks ≈ 5 sim-days at
+	// 100 µs). Deadlines beyond it are bucketed at the horizon edge and
+	// re-placed as the wheel advances; they still fire at their exact
+	// time (the bucket is an index, the deadline is the truth), at the
+	// cost of extra cascade work.
+	wheelSlots  = 256
 	wheelLevels = 4
-	// wheelHorizon is the addressable range in ticks. Deadlines beyond
-	// it are bucketed at the horizon edge and re-placed as the wheel
-	// advances; they still fire at their exact time (the bucket is an
-	// index, the deadline is the truth), at the cost of extra cascade
-	// work — irrelevant in practice (256^4 ticks ≈ 5 sim-days at 100 µs).
-	wheelHorizon = int64(wheelSlots) * wheelSlots * wheelSlots * wheelSlots
 )
 
 // wheelEntry is one pooled timer. next chains the slot bucket; gen
@@ -245,25 +246,28 @@ func (w *Wheel) fireOne(_, _ any, n int) {
 	}
 }
 
-// place buckets the entry at the lowest level whose horizon contains
-// its deadline, relative to the wheel's current position. Deadlines
-// beyond the addressable horizon are indexed at the horizon edge (the
-// deadline itself stays exact).
+// place buckets the entry at the lowest level whose scanned windows
+// contain its deadline, relative to the wheel's current position: the
+// level-l window index (tick / 256^l) may be at most 255 past pos's
+// own, which is exactly the range cascadeEarliest scans. Judging by
+// tick distance instead would let a window one full rotation ahead
+// alias the current window's slot, where the scan clamps its start to
+// pos and re-places it into the same slot forever. Deadlines beyond the
+// top level's range are indexed at its last window (the deadline
+// itself stays exact).
 func (w *Wheel) place(idx int32, e *wheelEntry) {
 	tickAt := int64(e.at / w.tick)
-	delta := tickAt - w.pos
-	if delta < 0 {
-		delta = 0
+	if tickAt < w.pos {
 		tickAt = w.pos
-	}
-	if delta >= wheelHorizon {
-		delta = wheelHorizon - 1
-		tickAt = w.pos + delta
 	}
 	span := int64(1)
 	for l := 0; l < wheelLevels; l++ {
-		if delta < span*wheelSlots || l == wheelLevels-1 {
-			slot := (tickAt / span) & (wheelSlots - 1)
+		win, base := tickAt/span, w.pos/span
+		if win-base < wheelSlots || l == wheelLevels-1 {
+			if win-base >= wheelSlots {
+				win = base + wheelSlots - 1
+			}
+			slot := win & (wheelSlots - 1)
 			e.next = w.slots[l][slot]
 			w.slots[l][slot] = idx
 			w.count[l][slot]++

@@ -18,8 +18,8 @@ type firing struct {
 // fire) — the differential workload run identically through the raw
 // scheduler heap and through the wheel.
 type wheelScript struct {
-	arms    []time.Duration // initial deadlines, index = id
-	cancel  map[int]bool    // ids cancelled immediately after arming everything
+	arms    []time.Duration       // initial deadlines, index = id
+	cancel  map[int]bool          // ids cancelled immediately after arming everything
 	chain   map[int]time.Duration // id -> extra delay to arm a child timer on fire
 	chainID map[int]int           // id -> child id
 }
@@ -180,10 +180,10 @@ func TestWheelCascade(t *testing.T) {
 	sched := NewScheduler()
 	w := NewWheel(sched, 100*time.Microsecond)
 	var order []string
-	w.After(2000*time.Second, func() { order = append(order, "far") })   // level 3
-	w.After(100*time.Second, func() { order = append(order, "mid") })    // level 2
-	w.After(time.Second, func() { order = append(order, "near") })       // level 1
-	w.After(time.Millisecond, func() { order = append(order, "soon") })  // level 0
+	w.After(2000*time.Second, func() { order = append(order, "far") })  // level 3
+	w.After(100*time.Second, func() { order = append(order, "mid") })   // level 2
+	w.After(time.Second, func() { order = append(order, "near") })      // level 1
+	w.After(time.Millisecond, func() { order = append(order, "soon") }) // level 0
 	sched.Run()
 	want := []string{"soon", "near", "mid", "far"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
@@ -299,6 +299,56 @@ func TestWheelPosAheadStraggler(t *testing.T) {
 	}
 	if w.Pending() != 0 {
 		t.Fatalf("%d entries still pending after drain", w.Pending())
+	}
+}
+
+// TestWheelRotationAheadAlias pins the level choice against the
+// cascade scan. A level-l slot is scanned as the 256 windows starting
+// at pos's own window, so an entry whose level-l window lies exactly
+// one rotation (256 windows) past pos's would share the current
+// window's slot; the scan would clamp its start to pos and re-place it
+// into that same slot forever. Each case puts pos off a window
+// boundary and arms an entry whose window is exactly one rotation
+// ahead at level 1 (65,416 ticks from pos%256 = 120) or level 2, or
+// past the top level's range; it must fire at its exact deadline, and
+// the run must finish.
+func TestWheelRotationAheadAlias(t *testing.T) {
+	const tick = 100 * time.Microsecond
+	cases := []struct {
+		name       string
+		posTicks   int64 // wheel position when the entry is armed
+		aheadTicks int64 // deadline distance from pos, in ticks
+	}{
+		{"level1", 120, 65_416},
+		{"level1-mid-window", 256*7 + 200, 256*256 - 200 + 17},
+		{"level2", 256*256*3 + 40_000, 256*256*256 - 40_000 + 5},
+		{"beyond-horizon", 77, 256*256*256*256 + 12_345},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := NewScheduler()
+			sched.RunUntil(time.Duration(tc.posTicks) * tick)
+			w := NewWheel(sched, tick)
+			at := sched.Now() + time.Duration(tc.aheadTicks)*tick + tick/3
+			var firedAt time.Duration = -1
+			w.At(at, func() { firedAt = sched.Now() })
+			done := make(chan struct{})
+			go func() {
+				sched.Run()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatal("wheel live-locked: the run did not finish")
+			}
+			if firedAt != at {
+				t.Fatalf("entry fired at %v, want %v", firedAt, at)
+			}
+			if w.Pending() != 0 {
+				t.Fatalf("%d entries still pending", w.Pending())
+			}
+		})
 	}
 }
 

@@ -17,9 +17,9 @@ type sinkNode struct {
 	n     uint64
 }
 
-func (s *sinkNode) Name() string                          { return s.name }
-func (s *sinkNode) Ports() *netem.Ports                   { return &s.ports }
-func (s *sinkNode) Receive(port int, pkt *packet.Packet)  { s.n++ }
+func (s *sinkNode) Name() string                         { return s.name }
+func (s *sinkNode) Ports() *netem.Ports                  { return &s.ports }
+func (s *sinkNode) Receive(port int, pkt *packet.Packet) { s.n++ }
 
 // BenchmarkSwitchPipeline measures the full ingress pipeline — Receive,
 // port accounting, flow-table lookup, action execution, transmit — for

@@ -93,8 +93,8 @@ type Testbed struct {
 	// Engine is the parallel engine of a partitioned build, nil otherwise.
 	Engine *par.Engine
 	Net    *netem.Network
-	H1    *traffic.Host
-	H2    *traffic.Host
+	H1     *traffic.Host
+	H2     *traffic.Host
 
 	// Combiner is set for Linespeed/Central/Dup kinds.
 	Combiner *core.Combiner

@@ -1,13 +1,11 @@
 package traffic
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
 
 	"netco/internal/netem"
-	"netco/internal/pool"
 	"netco/internal/sim"
 )
 
@@ -24,8 +22,8 @@ import (
 // Determinism contract: the allocator never iterates a Go map. Flow and
 // link-direction worklists are built in event order and traversed as
 // slices, so identical construction sequences produce bit-identical
-// allocations, loads, and delivered-byte counters regardless of host,
-// worker count, or run repetition.
+// allocations, loads, and delivered-byte counters regardless of host or
+// run repetition.
 //
 // Settles are incremental: a flow start/stop/retarget or a capacity
 // change marks its flow (or direction) dirty, and the settle pass
@@ -96,15 +94,6 @@ type FluidConfig struct {
 	DemoteRho     float64
 	DemoteAfter   time.Duration
 	OnUncongested func(f *FluidFlow, rho float64)
-
-	// SettleWorkers fans the per-component progressive-filling solves
-	// of one settle across a worker pool. Components are independent by
-	// construction (they partition the flow/direction graph), component
-	// discovery and result publication stay serial in deterministic
-	// seed order, and the per-component arithmetic is untouched — so
-	// allocations are bit-identical at every worker count, which the
-	// differential tests pin. <= 1 solves serially on the caller.
-	SettleWorkers int
 }
 
 // fluidDir is the allocator's per-(link, direction) state.
@@ -116,7 +105,8 @@ type fluidDir struct {
 	// flows lists every path occurrence of a listed flow through this
 	// direction (a flow appears once per traversal), maintained by
 	// list/unlist with swap-removal. It is the edge set the settle
-	// pass's component BFS walks.
+	// pass's component BFS walks. Entries hold no pointers, so the
+	// garbage collector never scans these lists.
 	flows []dirFlow
 
 	dirty bool // queued in dirtyDirs for the next settle
@@ -129,16 +119,12 @@ type fluidDir struct {
 }
 
 // dirFlow is one path occurrence of a flow through a direction: the
-// flow plus the index of this direction in the flow's own hop list
-// (so a swap-removal can fix the moved occurrence's back-pointer).
+// flow's arena slot plus the index of this direction in the flow's own
+// hop list (so a swap-removal can fix the moved occurrence's
+// back-pointer).
 type dirFlow struct {
-	f  *FluidFlow
-	di int
-}
-
-type dirKey struct {
-	link *netem.Link
-	end  int
+	slot int32
+	di   int32
 }
 
 // FluidNet owns the fluid flows of one simulation and runs the max-min
@@ -147,10 +133,18 @@ type FluidNet struct {
 	sched *sim.Scheduler
 	epoch time.Duration
 
-	flows  []*FluidFlow // listed flows (order perturbed by swap-removal)
-	dirs   []*fluidDir  // first-touch order
-	dirOf  map[dirKey]*fluidDir
+	flows []*FluidFlow // listed flows (order perturbed by swap-removal)
+	dirs  []*fluidDir  // first-touch order
+	// dirOf[2*link.Index()+end] is the (link, end) direction, nil until
+	// a flow first traverses it. Grown on demand to the largest index
+	// seen.
+	dirOf  []*fluidDir
 	nextID int
+
+	// arena holds every flow object this FluidNet ever allocated, at
+	// its FluidFlow.slot. Append-only: a recycled flow keeps its slot.
+	// dirFlow entries name flows by slot, which keeps them pointer-free.
+	arena []*FluidFlow
 
 	// Dirty seeds for the next settle, in event order. A flow or dir
 	// appears at most once (guarded by its dirty flag).
@@ -182,7 +176,6 @@ type FluidNet struct {
 	demoteRho   float64
 	demoteAfter time.Duration
 	onUncong    func(f *FluidFlow, rho float64)
-	workers     int
 
 	dirty      bool
 	armed      bool
@@ -214,14 +207,12 @@ func NewFluidNet(sched *sim.Scheduler, cfg FluidConfig) *FluidNet {
 	fn := &FluidNet{
 		sched:       sched,
 		epoch:       cfg.Epoch,
-		dirOf:       make(map[dirKey]*fluidDir),
 		full:        cfg.FullResettle,
 		congRho:     cfg.CongestionRho,
 		onCong:      cfg.OnCongested,
 		demoteRho:   cfg.DemoteRho,
 		demoteAfter: cfg.DemoteAfter,
 		onUncong:    cfg.OnUncongested,
-		workers:     cfg.SettleWorkers,
 	}
 	fn.onEpochFn = fn.onEpoch // bound once; arming a timer allocates nothing
 	return fn
@@ -260,10 +251,10 @@ func (fn *FluidNet) Close() {
 
 // NewFlow registers a rate process with the given demand (bits/s) and
 // directed path. The flow is idle until Start. Demand is clamped to
-// finite non-negative; a nil link in the path panics (construction
-// bug). Flow objects come from the Release free list when one is
-// available, so steady-state churn allocates nothing (path slices are
-// reused when capacity suffices).
+// finite non-negative; a nil link in the path, or one built outside a
+// netem.Network, panics (construction bug). Flow objects come from the
+// Release free list when one is available, so steady-state churn
+// allocates nothing (path slices are reused when capacity suffices).
 func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 	if math.IsNaN(demand) || math.IsInf(demand, 0) || demand < 0 {
 		demand = 0
@@ -277,7 +268,8 @@ func (fn *FluidNet) NewFlow(demand float64, path []Hop) *FluidFlow {
 		f.id = fn.nextID
 		f.demand = demand
 	} else {
-		f = &FluidFlow{net: fn, id: fn.nextID, demand: demand}
+		f = &FluidFlow{net: fn, id: fn.nextID, demand: demand, slot: int32(len(fn.arena))}
+		fn.arena = append(fn.arena, f)
 	}
 	fn.nextID++
 	if len(path) > 0 {
@@ -317,9 +309,19 @@ func (fn *FluidNet) recycle(f *FluidFlow) {
 	fn.freeFlows = append(fn.freeFlows, f)
 }
 
+// dirFor returns the direction state of hop h, creating it (and
+// appending it to fn.dirs in first-touch order) on first traversal.
 func (fn *FluidNet) dirFor(h Hop) *fluidDir {
-	k := dirKey{link: h.Link, end: h.End}
-	if d, ok := fn.dirOf[k]; ok {
+	idx := h.Link.Index()
+	if idx < 0 || uint(h.End) > 1 {
+		panic(fmt.Sprintf("traffic: fluid hop on link %q end %d: the link must come from a netem.Network (dense index %d) and the end must be 0 or 1",
+			h.Link.Name(), h.End, idx))
+	}
+	k := 2*idx + h.End
+	if k >= len(fn.dirOf) {
+		fn.dirOf = append(fn.dirOf, make([]*fluidDir, k+1-len(fn.dirOf))...)
+	}
+	if d := fn.dirOf[k]; d != nil {
 		return d
 	}
 	d := &fluidDir{link: h.Link, end: h.End, cap: h.Link.Capacity()}
@@ -333,8 +335,12 @@ func (fn *FluidNet) dirFor(h Hop) *fluidDir {
 // It is a no-op for a direction no fluid flow has ever traversed. The
 // new allocation takes effect at the next epoch boundary.
 func (fn *FluidNet) SetCapacity(l *netem.Link, end int, bps float64) {
-	d, ok := fn.dirOf[dirKey{link: l, end: end}]
-	if !ok || d.cap == bps {
+	k := 2*l.Index() + end
+	if k < 0 || k >= len(fn.dirOf) || uint(end) > 1 {
+		return
+	}
+	d := fn.dirOf[k]
+	if d == nil || d.cap == bps {
 		return
 	}
 	d.cap = bps
@@ -366,7 +372,7 @@ func (fn *FluidNet) list(f *FluidFlow) {
 	fn.flows = append(fn.flows, f)
 	for i, d := range f.dirs {
 		f.posInDir[i] = len(d.flows)
-		d.flows = append(d.flows, dirFlow{f: f, di: i})
+		d.flows = append(d.flows, dirFlow{slot: f.slot, di: int32(i)})
 	}
 }
 
@@ -378,8 +384,7 @@ func (fn *FluidNet) unlist(f *FluidFlow) {
 		last := len(d.flows) - 1
 		moved := d.flows[last]
 		d.flows[p] = moved
-		moved.f.posInDir[moved.di] = p
-		d.flows[last] = dirFlow{} // release the pointer to the GC
+		fn.arena[moved.slot].posInDir[moved.di] = p
 		d.flows = d.flows[:last]
 	}
 	p := f.listPos
@@ -422,20 +427,16 @@ func (fn *FluidNet) onEpoch() {
 // every settle a from-scratch solve of every component through the
 // identical code path — the oracle the incremental mode is compared
 // against bit for bit.
-// The settle is a three-phase pass so the per-component solves can fan
-// across workers without giving up bit-identity:
 //
-//	discover (serial) — BFS each dirty seed's component, accrue touched
-//	  flows at their old rates, delist stopped flows; mutates shared
-//	  state (generation marks, the flow list) so it stays on the caller.
-//	fill (parallel) — progressive filling per component. Touches only
-//	  component-local state (flow rates, direction loads); components
-//	  partition the graph, so solves are independent and the arithmetic
-//	  is identical at every worker count.
-//	publish (serial, component order) — push loads into the packet
-//	  tier, retarget promoted expanders, collect congestion/demotion
-//	  candidates; ordering-sensitive (scheduler, callbacks), so it runs
-//	  in deterministic discovery order.
+// The settle is a three-phase pass:
+//
+//	discover — BFS each dirty seed's component, accrue touched flows at
+//	  their old rates, delist stopped flows.
+//	fill — progressive filling per component. Touches only
+//	  component-local state (flow rates, direction loads).
+//	publish (component order) — push loads into the packet tier,
+//	  retarget promoted expanders, collect congestion/demotion
+//	  candidates.
 func (fn *FluidNet) settle() {
 	fn.dirty = false
 	now := fn.sched.Now()
@@ -494,23 +495,8 @@ func (fn *FluidNet) settle() {
 	fn.dirtyFlows = fn.dirtyFlows[:0]
 	fn.dirtyDirs = fn.dirtyDirs[:0]
 
-	// Solve. The parallel path is taken only when there is real fan-out
-	// to win; either way the per-component arithmetic is the same code.
-	if fn.workers > 1 && fn.ncomps > 1 {
-		_, errs := pool.Map(context.Background(), fn.workers, fn.ncomps,
-			func(i int) (struct{}, error) {
-				fillComponent(&fn.comps[i])
-				return struct{}{}, nil
-			})
-		for _, err := range errs {
-			if err != nil {
-				panic(err) // PanicError from a solve: surface, don't swallow
-			}
-		}
-	} else {
-		for i := 0; i < fn.ncomps; i++ {
-			fillComponent(&fn.comps[i])
-		}
+	for i := 0; i < fn.ncomps; i++ {
+		fillComponent(&fn.comps[i])
 	}
 	fn.compSolves += uint64(fn.ncomps)
 
@@ -588,9 +574,9 @@ func (fn *FluidNet) discoverComponent(seedF *FluidFlow, seedD *fluidDir, now tim
 		}
 		for ; di < len(dirs); di++ {
 			for _, e := range dirs[di].flows {
-				if e.f.mark != fn.gen {
-					e.f.mark = fn.gen
-					flows = append(flows, e.f)
+				if f := fn.arena[e.slot]; f.mark != fn.gen {
+					f.mark = fn.gen
+					flows = append(flows, f)
 				}
 			}
 		}
@@ -622,9 +608,7 @@ func (fn *FluidNet) discoverComponent(seedF *FluidFlow, seedD *fluidDir, now tim
 // collapse to one or two). Every arithmetic step is a min-reduction or
 // a per-entity update, so the result does not depend on the BFS visit
 // order — only on the component's membership, which is unique. It
-// touches nothing outside the component (no FluidNet state), which is
-// what makes the parallel settle race-free and bit-identical to
-// serial.
+// touches nothing outside the component (no FluidNet state).
 func fillComponent(c *fluidComp) {
 	act := c.flows
 	dirs := c.dirs
@@ -709,9 +693,9 @@ func fillComponent(c *fluidComp) {
 
 // publishComponent pushes one solved component's aggregate loads into
 // the packet tier, retargets promoted flows' expanders, and collects
-// congestion-promotion and hysteresis-demotion candidates. Runs
-// serially in component-discovery order: everything here is
-// ordering-sensitive (scheduler interactions, callback order).
+// congestion-promotion and hysteresis-demotion candidates. Runs in
+// component-discovery order: everything here is ordering-sensitive
+// (scheduler interactions, callback order).
 func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 	act := c.flows
 	dirs := c.dirs
@@ -738,7 +722,7 @@ func (fn *FluidNet) publishComponent(c *fluidComp, now time.Duration) {
 				continue
 			}
 			for _, e := range d.flows {
-				f := e.f
+				f := fn.arena[e.slot]
 				if f.congMark == fn.gen || !f.active || f.exp != nil {
 					continue
 				}
@@ -782,7 +766,8 @@ type FluidFlow struct {
 	// posInDir[i] is this flow's slot in dirs[i].flows — the
 	// back-pointer swap-removal needs.
 	posInDir []int
-	listPos  int // slot in the allocator's flow list
+	listPos  int   // slot in the allocator's flow list
+	slot     int32 // index in the allocator's arena, fixed for life
 
 	rate   float64 // current allocation, bits/s
 	frozen bool    // settle scratch

@@ -439,8 +439,8 @@ type ChurnResult = experiment.ChurnResult
 
 // RunChurn drives an open flow arrival/departure workload over a
 // fat-tree fluid fabric: arena-recycled flow records, wheel-timed
-// departures and parallel per-component settles, deterministic at any
-// SettleWorkers count (HybridParams.Churn* fields size the workload).
+// departures and incremental per-component settles, bit-identical to
+// the FullResettle oracle (HybridParams.Churn* fields size the workload).
 // The engine behind BENCH_10.json.
 func RunChurn(p Params, hp HybridParams) ChurnResult {
 	return experiment.RunChurn(p, hp)
