@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-guard bench bench-flows bench-scale bench-hybrid bench-churn sweep-smoke hybrid-smoke hybrid-scale-smoke churn-smoke fuzz fuzz-smoke chaos-smoke impairment-smoke
+.PHONY: check vet build test race bench-guard bench bench-flows bench-hybrid bench-churn sweep-smoke hybrid-smoke hybrid-scale-smoke churn-smoke fuzz fuzz-smoke chaos-smoke impairment-smoke
 
 # check is the pre-merge gate: static checks, the full test suite under
 # the race detector (with scratch poisoning on, so retained engine events
@@ -31,27 +31,24 @@ race:
 	NETCO_POISON_SCRATCH=1 $(GO) test -race ./...
 
 # sweep-smoke runs a tiny 2-worker grid end to end through the CLI and
-# verifies the artifact is byte-identical to a single-worker run, then
-# re-runs the grid on the partitioned parallel engine (-partitions 4)
-# and demands the same bytes again — the CLI leg of the differential
-# determinism suite (the in-process legs run under `race` above).
+# verifies the artifact is byte-identical to a single-worker run. The
+# partitioned engine's determinism is gated by fuzz-smoke, chaos-smoke
+# and impairment-smoke, where every harness.Check re-runs its scenario
+# on 4 partitions, and by the sim/par, netem and harness tests under
+# `race` above.
 sweep-smoke:
 	$(GO) run ./cmd/netco-sweep -quick -kinds ping -scenarios Linespeed,Central3 \
 		-seeds 1:2 -workers 2 -json /tmp/netco-sweep-smoke-w2.json
 	$(GO) run ./cmd/netco-sweep -quick -kinds ping -scenarios Linespeed,Central3 \
 		-seeds 1:2 -workers 1 -json /tmp/netco-sweep-smoke-w1.json > /dev/null
 	cmp /tmp/netco-sweep-smoke-w1.json /tmp/netco-sweep-smoke-w2.json
-	$(GO) run ./cmd/netco-sweep -quick -kinds ping -scenarios Linespeed,Central3 \
-		-seeds 1:2 -workers 1 -partitions 4 -json /tmp/netco-sweep-smoke-p4.json > /dev/null
-	cmp /tmp/netco-sweep-smoke-w1.json /tmp/netco-sweep-smoke-p4.json
-	@echo "sweep-smoke: artifacts byte-identical across worker and partition counts"
+	@echo "sweep-smoke: artifacts byte-identical across worker counts"
 
 # hybrid-smoke is the hybrid engine's CLI determinism leg: the same
 # quick hybrid grid (2 seeds) through netco-sweep at -workers 1 and 4
 # must produce byte-identical JSON artifacts — runs, merged summaries
-# and merged histogram sketches included. The hybrid engine itself is
-# serial (one scheduler per run; -partitions is a documented no-op for
-# it), so workers only reorder completion, never results.
+# and merged histogram sketches included. Every run has its own single
+# scheduler, so workers only reorder completion, never results.
 hybrid-smoke:
 	$(GO) run ./cmd/netco-sweep -quick -kinds hybrid -scenarios Central3 \
 		-seeds 1:2 -workers 4 -json /tmp/netco-hybrid-smoke-w4.json
@@ -142,13 +139,6 @@ bench-guard:
 # bench reproduces the headline end-to-end number recorded in BENCH_1.json.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineIngest$$' -benchmem -benchtime 3s .
-
-# bench-scale reproduces the parallel-engine scaling curve recorded in
-# BENCH_5.json: cross-pod UDP over an 8-ary fat tree at partition counts
-# {1,2,4,8,12}, asserting the observation digest is bit-identical to the
-# serial run at every count (the bench exits nonzero on divergence).
-bench-scale:
-	$(GO) run ./cmd/netco-bench -scale
 
 # bench-hybrid reproduces the hybrid-engine numbers recorded in
 # BENCH_6.json: a 30-ary fluid fat tree (1125 switches, 101250 max-min

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	netco-bench [-table1] [-fig4] [-fig5] [-fig6] [-fig7] [-fig8] [-all]
-//	            [-scale] [-hybrid] [-churn] [-parallel n] [-full] [-quick] [-seed n]
+//	            [-hybrid] [-churn] [-full] [-quick] [-seed n]
 //	            [-hybrid-arity k] [-hybrid-flows-per-host n] [-hybrid-monitored n]
 //	            [-hybrid-promote-rho r] [-hybrid-build-budget-ms b]
 //	            [-churn-arity k] [-churn-rate a]
@@ -54,7 +54,6 @@ func run() error {
 		arch   = flag.Bool("arch", false, "extension: compare-placement architectures (Central3/Inline3/POX3)")
 		ksweep = flag.Bool("ksweep", false, "extension: redundancy sweep k=1..7 (Central)")
 		dos    = flag.Bool("dos", false, "extension: DoS attacks vs the §IV defences")
-		scale  = flag.Bool("scale", false, "extension: parallel-engine scaling benchmark (fat-tree cross-pod UDP, partition sweep; BENCH_5.json)")
 		hybrid = flag.Bool("hybrid", false, "extension: hybrid fluid/packet traffic engine (1k-switch fluid fat tree, 100k+ flows, packet-exact combiner region; BENCH_6.json)")
 		churn  = flag.Bool("churn", false, "extension: churn-scale flow lifecycle engine (arity-90 fluid fat tree, 1M+ lifecycle events per sim-second; BENCH_10.json)")
 		impair = flag.Bool("impair", false, "extension: UDP delivery with the netem impairment pipeline (Gilbert-Elliott loss, duplication, corruption, reordering) on every trunk")
@@ -79,7 +78,6 @@ func run() error {
 		quick      = flag.Bool("quick", false, "smoke-test durations")
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		serial     = flag.Bool("serial", false, "run scenarios sequentially (default: one worker per core)")
-		para       = flag.Int("parallel", 0, "run each simulation on the parallel engine with this many partitions (0/1 = serial engine; results are bit-identical)")
 		csvDir     = flag.String("csv", "", "also write each figure's data as CSV files into this directory")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
@@ -104,7 +102,7 @@ func run() error {
 	// section.scenario.quantity, for the -json report.
 	metrics := map[string]float64{}
 
-	if !(*table1 || *fig4 || *fig5 || *fig6 || *fig7 || *fig8 || *arch || *ksweep || *dos || *scale || *hybrid || *churn || *impair) {
+	if !(*table1 || *fig4 || *fig5 || *fig6 || *fig7 || *fig8 || *arch || *ksweep || *dos || *hybrid || *churn || *impair) {
 		*all = true
 	}
 
@@ -116,7 +114,6 @@ func run() error {
 		p = p.Quick()
 	}
 	p.Seed = *seed
-	p.Partitions = *para
 
 	workers := runtime.GOMAXPROCS(0)
 	if *serial {
@@ -252,45 +249,6 @@ func run() error {
 		metrics["dos.replay_mbps"] = r.ReplayMbps
 		metrics["dos.flood_isolated_mbps"] = r.FloodIsolatedMbps
 		metrics["dos.flood_shared_mbps"] = r.FloodSharedMbps
-		fmt.Println()
-	}
-	if *scale {
-		const arity = 8 // 12 co-location units: 8 pods + 4 core groups
-		dur := 150 * time.Millisecond
-		if *quick {
-			dur = 50 * time.Millisecond
-		}
-		cores := runtime.NumCPU()
-		fmt.Printf("== Extension: parallel-engine scaling (%d-ary fat tree, cross-pod UDP, %d core(s)) ==\n", arity, cores)
-		metrics["scale.cores"] = float64(cores)
-		rows := [][]string{{"partitions", "events", "wall_s", "events_per_sec", "speedup"}}
-		var serialRate float64
-		var serialDigest string
-		for _, parts := range []int{1, 2, 4, 8, 12} {
-			ps := p
-			ps.Partitions = parts
-			wall := time.Now()
-			r := netco.RunScale(ps, arity, dur)
-			secs := time.Since(wall).Seconds()
-			rate := float64(r.Events) / secs
-			if parts == 1 {
-				serialRate, serialDigest = rate, r.Digest
-			} else if r.Digest != serialDigest {
-				return fmt.Errorf("scale: partitions=%d diverged from serial digest", parts)
-			}
-			speedup := rate / serialRate
-			fmt.Printf("  partitions=%-2d  %9d events in %6.2fs  %12.0f ev/s  speedup %.2fx\n",
-				r.Partitions, r.Events, secs, rate, speedup)
-			key := fmt.Sprintf("scale.partitions%d", parts)
-			metrics[key+".events_per_sec"] = rate
-			metrics[key+".speedup"] = speedup
-			rows = append(rows, []string{strconv.Itoa(parts), strconv.FormatUint(r.Events, 10),
-				fmt.Sprintf("%.3f", secs), fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.3f", speedup)})
-		}
-		fmt.Println("  digests bit-identical across all partition counts")
-		if err := writeCSV(*csvDir, "scale.csv", rows); err != nil {
-			return err
-		}
 		fmt.Println()
 	}
 	if *hybrid {

@@ -9,20 +9,16 @@
 //	            [-chaos-crashes 0,1,2] [-chaos-flap-ms 0,10,20]
 //	            [-loss 0,1,5] [-loss-corr 25] [-loss-ge 1:25,5:50:80:0.5]
 //	            [-dup-pct 0,1] [-corrupt-pct 0.1] [-reorder-ms 0,2] [-reorder-pct 25]
-//	            [-workers n] [-partitions n] [-json f] [-quick] [-full]
+//	            [-workers n] [-json f] [-quick] [-full]
 //
 // Every run builds its own scheduler, pools and engines; results are
 // ordered by grid position, so the artifact for a given grid is
 // byte-identical whatever -workers is. Interrupting with SIGINT cancels
 // not-yet-started runs and reports the completed prefix.
 //
-// The two parallelism axes compose and neither changes results:
-// -workers runs whole simulations concurrently (throughput across a
-// grid), while -partitions splits each simulation across the
-// conservative parallel engine's domains (latency of a single run; see
-// internal/sim/par). For large grids prefer -workers — per-run
-// isolation scales embarrassingly — and reserve -partitions for grids
-// of a few big runs.
+// -workers is the only parallelism axis: whole simulations run
+// concurrently, each on its own single scheduler, so a grid's
+// throughput scales with workers while no run's result depends on them.
 //
 // The chaos kind measures availability under lifecycle churn; its two
 // grid axes — -chaos-crashes (how many routers cold-crash during the
@@ -39,13 +35,8 @@
 // value is that axis's clean baseline. The pipeline also applies to any
 // other kind when impairment flags are set (TCP goodput under loss,
 // chaos under duplication, ...). Impairments are seeded from the run
-// seed, so artifacts stay byte-identical across -workers and
-// -partitions.
+// seed, so artifacts stay byte-identical across -workers.
 //
-// The hybrid kind is serial by construction (its fluid allocator and
-// packet-exact region share one scheduler), so -partitions is a no-op
-// for hybrid runs: they execute unchanged and still parallelise across
-// the grid via -workers, with bit-identical artifacts either way.
 // Hybrid runs attach histogram sketches (flow_rate_mbps,
 // flow_goodput_mbps, region_wire_bytes, region_gap_us) to each result;
 // the report folds them per group into merged_hists in the JSON
@@ -100,7 +91,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		reoFlag   = fs.String("reorder-ms", "", "optional reorder-jitter grid in ms (0 = none)")
 		reoPct    = fs.Float64("reorder-pct", 25, "percent of packets jittered for -reorder-ms variants")
 		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		parts     = fs.Int("partitions", 0, "run each simulation on the parallel engine with this many partitions (0/1 = serial; orthogonal to -workers, which parallelises across runs — results are bit-identical either way)")
 		jsonPath  = fs.String("json", "", "write the full report as JSON to this file")
 		quick     = fs.Bool("quick", false, "smoke-test durations")
 		full      = fs.Bool("full", false, "paper-faithful durations (10s × 10 runs)")
@@ -129,7 +119,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *quick {
 		base = base.Quick()
 	}
-	base.Partitions = *parts
 	variants, err := parseVariants(*trunkFlag, base)
 	if err != nil {
 		return err

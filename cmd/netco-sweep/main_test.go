@@ -85,7 +85,6 @@ func TestRunHybridSurfacesHists(t *testing.T) {
 		"-scenarios", "Central3",
 		"-seeds", "1",
 		"-workers", "1",
-		"-partitions", "2", // a documented no-op for the serial hybrid engine
 		"-quick",
 		"-json", jsonPath,
 	}, &buf)
@@ -154,9 +153,9 @@ func TestRunFlagParsing(t *testing.T) {
 }
 
 // TestRunImpairDeterministic is the acceptance gate for the impairment
-// pipeline's parallel determinism: one impaired grid (every stage kind
-// active) through the CLI at -workers {1,4} and -partitions {1,4} must
-// produce byte-identical JSON artifacts. The impairment PRNGs seed from
+// pipeline's determinism: one impaired grid (every stage kind active)
+// through the CLI at -workers {1,4} must produce byte-identical JSON
+// artifacts. The impairment PRNGs seed from
 // (run seed, link creation index, direction, stage index), none of which
 // depend on scheduling, so any divergence here is a real engine bug.
 func TestRunImpairDeterministic(t *testing.T) {
@@ -176,19 +175,16 @@ func TestRunImpairDeterministic(t *testing.T) {
 	}
 	artifacts := map[string][]byte{}
 	for _, cfg := range []struct {
-		name           string
-		workers, parts int
+		name    string
+		workers int
 	}{
-		{"w1p1", 1, 1},
-		{"w4p1", 4, 1},
-		{"w1p4", 1, 4},
-		{"w4p4", 4, 4},
+		{"w1", 1},
+		{"w4", 4},
 	} {
 		jsonPath := filepath.Join(dir, cfg.name+".json")
 		args := append([]string{}, baseArgs...)
 		args = append(args,
 			"-workers", strconv.Itoa(cfg.workers),
-			"-partitions", strconv.Itoa(cfg.parts),
 			"-json", jsonPath)
 		var buf bytes.Buffer
 		if err := run(context.Background(), args, &buf); err != nil {
@@ -207,16 +203,14 @@ func TestRunImpairDeterministic(t *testing.T) {
 		}
 		artifacts[cfg.name] = raw
 	}
-	for _, name := range []string{"w4p1", "w1p4", "w4p4"} {
-		if !bytes.Equal(artifacts["w1p1"], artifacts[name]) {
-			t.Errorf("impaired artifact %s differs from w1p1 (%d vs %d bytes)",
-				name, len(artifacts[name]), len(artifacts["w1p1"]))
-		}
+	if !bytes.Equal(artifacts["w1"], artifacts["w4"]) {
+		t.Errorf("impaired artifact w4 differs from w1 (%d vs %d bytes)",
+			len(artifacts["w4"]), len(artifacts["w1"]))
 	}
 	// The grid must actually have impaired something, or the bit-equality
 	// above proves nothing.
 	var rep sweepReport
-	if err := json.Unmarshal(artifacts["w1p1"], &rep); err != nil {
+	if err := json.Unmarshal(artifacts["w1"], &rep); err != nil {
 		t.Fatal(err)
 	}
 	var drops float64

@@ -123,6 +123,12 @@ type EdgeSwitch struct {
 	framePool packet.Pool
 
 	stats EdgeStats
+
+	// OnToCompare, when non-nil, observes every router copy this edge
+	// encapsulates toward the compare, as it arrived off the trunk
+	// (Meta included). The harness's no-forgery ledger taps it to tell
+	// wire-corrupted copies from router emissions.
+	OnToCompare func(idx int, pkt *packet.Packet)
 }
 
 var _ netem.Node = (*EdgeSwitch)(nil)
@@ -289,19 +295,22 @@ func (e *EdgeSwitch) fromRouter(idx int, pkt *packet.Packet) {
 				e.stats.Sampled++
 			}
 			e.stats.ToCompare++
-			e.sendToCompare(idx, e.wireBuf)
+			e.sendToCompare(idx, pkt, e.wireBuf)
 		}
 	default:
 		e.stats.ToCompare++
 		e.wireBuf = pkt.MarshalInto(e.wireBuf[:0])
-		e.sendToCompare(idx, e.wireBuf)
+		e.sendToCompare(idx, pkt, e.wireBuf)
 	}
 }
 
-// sendToCompare encapsulates an already-marshalled router copy in a pooled
-// frame and transmits it on the compare channel. The wire slice may be
-// scratch: the encapsulation copies it.
-func (e *EdgeSwitch) sendToCompare(idx int, wire []byte) {
+// sendToCompare encapsulates router copy pkt, already marshalled into
+// wire, in a pooled frame and transmits it on the compare channel. The
+// wire slice may be scratch: the encapsulation copies it.
+func (e *EdgeSwitch) sendToCompare(idx int, pkt *packet.Packet, wire []byte) {
+	if e.OnToCompare != nil {
+		e.OnToCompare(idx, pkt)
+	}
 	frame := encapPacketInInto(e.framePool.Get(), e.cfg.EdgeID*MaxK+idx, wire)
 	if !e.ports.Send(e.comparePort, frame) {
 		packet.Recycle(frame)

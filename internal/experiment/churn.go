@@ -238,8 +238,8 @@ func (e *churnEngine) wave() {
 // recycle — shows up here.
 func (e *churnEngine) sample() {
 	// Fold every live flow's settled rate, in live-list order. Rates are
-	// the quantity the settle invariant actually pins bit-for-bit across
-	// worker counts AND under the FullResettle oracle; accrued bits are
+	// the quantity the settle invariant actually pins bit-for-bit under
+	// the FullResettle oracle; accrued bits are
 	// not (the oracle re-accrues every flow each settle, segmenting the
 	// same rate·time integral differently in float arithmetic). The
 	// live-list order itself is deterministic — it is a pure function of

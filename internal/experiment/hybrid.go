@@ -42,25 +42,11 @@ import (
 // goodput stays within fluid-model tolerance. That is the fidelity
 // contract the differential test in hybrid_test.go enforces.
 //
-// The engine is serial by construction (one scheduler). Params.Workers
-// parallelises topology *construction* only (pod wiring and host
-// builds, with deterministic link-id assignment, so results are
-// bit-identical at any worker count); the simulation itself never
-// shares a scheduler across goroutines. Params.Partitions does not
-// apply.
+// The engine is serial: one scheduler, built and run on one goroutine.
 
 // hybridPayload is the UDP payload size used by expanders and
 // packet-mode fabric sources (iperf's default datagram).
 const hybridPayload = 1470
-
-// buildWorkers clamps a Params.Workers value for topology-build
-// parallelism (0 means serial, like 1).
-func buildWorkers(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
-}
 
 // HybridParams sizes one hybrid scenario.
 type HybridParams struct {
@@ -140,8 +126,8 @@ type HybridParams struct {
 	ChurnWaveEvery time.Duration
 	// ChurnCrossFrac is the fraction of churn flows routed cross-pod
 	// through the core. Cross-pod flows couple pod components into one
-	// allocator component, so keep this small when measuring parallel
-	// settle speedup (0 = all pod-local).
+	// allocator component, so larger values mean fewer, bigger settles
+	// (0 = all pod-local).
 	ChurnCrossFrac float64
 }
 

@@ -104,12 +104,6 @@ type Params struct {
 	// trunk link, seeded from the run seed. The zero value keeps trunks
 	// clean and digests bit-identical to the pre-impairment engine.
 	Impair ImpairParams
-
-	// Partitions > 1 runs each testbed on the parallel engine with that
-	// many domains (bit-identical to serial; see internal/sim/par).
-	// Workers bounds the engine's goroutines (0 = GOMAXPROCS).
-	Partitions int
-	Workers    int
 }
 
 // DefaultParams returns the calibrated configuration.
@@ -230,8 +224,6 @@ func (p Params) TestbedParams(s Scenario, compromise func(i int) switching.Behav
 			CacheCapacity: p.CompareCache,
 		},
 		Compromise: compromise,
-		Partitions: p.Partitions,
-		Workers:    p.Workers,
 	}
 	return tp
 }

@@ -29,8 +29,7 @@ const (
 	// KindHybrid runs the hybrid fluid/packet traffic engine's sweep
 	// unit: a small fat-tree fluid fabric with a packet-exact combiner
 	// region (see RunHybrid). The scenario only selects labelling — the
-	// region is always a Central3 combiner — and the unit is serial by
-	// construction, so Params.Partitions does not apply.
+	// region is always a Central3 combiner.
 	KindHybrid
 	// KindChaos measures availability under lifecycle churn: a UDP
 	// stream through the scenario while routers crash and restart, a
@@ -43,36 +42,39 @@ const (
 	KindImpair
 	// KindChurn runs the flow-lifecycle churn engine: an open
 	// arrival/departure workload over a fat-tree fluid fabric,
-	// measuring lifecycle throughput with arena recycling, parallel
-	// settle and wheel-timed departures (see RunChurn). Serial by
-	// construction like KindHybrid; the scenario only labels the run.
+	// measuring lifecycle throughput with arena recycling, incremental
+	// per-component settle and wheel-timed departures (see RunChurn).
+	// The scenario only labels the run.
 	KindChurn
 )
 
-// AllKinds lists every schedulable kind.
-var AllKinds = []Kind{KindTCP, KindUDP, KindPing, KindJitter, KindHybrid, KindChaos, KindImpair, KindChurn}
+// kindNames is the single source of kind names, indexed by Kind.
+var kindNames = [...]string{
+	KindTCP:    "tcp",
+	KindUDP:    "udp",
+	KindPing:   "ping",
+	KindJitter: "jitter",
+	KindHybrid: "hybrid",
+	KindChaos:  "chaos",
+	KindImpair: "impair",
+	KindChurn:  "churn",
+}
+
+// AllKinds lists every schedulable kind, in declaration order.
+var AllKinds = func() []Kind {
+	ks := make([]Kind, 0, len(kindNames)-1)
+	for k := KindTCP; int(k) < len(kindNames); k++ {
+		ks = append(ks, k)
+	}
+	return ks
+}()
 
 // String names the kind for CLIs and artifacts.
 func (k Kind) String() string {
-	switch k {
-	case KindTCP:
-		return "tcp"
-	case KindUDP:
-		return "udp"
-	case KindPing:
-		return "ping"
-	case KindJitter:
-		return "jitter"
-	case KindHybrid:
-		return "hybrid"
-	case KindChaos:
-		return "chaos"
-	case KindImpair:
-		return "impair"
-	case KindChurn:
-		return "churn"
+	if k < KindTCP || int(k) >= len(kindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return kindNames[k]
 }
 
 // ParseKind is the inverse of Kind.String.
@@ -82,7 +84,7 @@ func ParseKind(name string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("experiment: unknown kind %q (want tcp, udp, ping, jitter, hybrid, chaos, impair or churn)", name)
+	return 0, fmt.Errorf("experiment: unknown kind %q (want %s)", name, strings.Join(kindNames[KindTCP:], ", "))
 }
 
 // ParseScenario resolves a paper scenario name (case-insensitive).

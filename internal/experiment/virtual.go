@@ -9,7 +9,6 @@ import (
 	"netco/internal/openflow"
 	"netco/internal/packet"
 	"netco/internal/sim"
-	"netco/internal/sim/par"
 	"netco/internal/switching"
 	"netco/internal/topo"
 	"netco/internal/traffic"
@@ -128,29 +127,13 @@ func hostCfgOf(p Params) traffic.HostConfig {
 	}
 }
 
-func buildVirtualNet(p Params, paths int, detectOnly bool, compromise func(path, hop int) switching.Behavior) (sim.Runner, *topo.Multipath, *traffic.Host, *traffic.Host) {
-	link := p.TrunkLink()
-	var net *netem.Network
-	var runner sim.Runner
-	var eng *par.Engine
-	domains := p.Partitions
-	if units := 2 + paths; domains > units {
-		domains = units
-	}
-	if domains > 1 && link.Delay > 0 && p.HostLink().Delay > 0 {
-		eng = par.New(domains, p.Workers)
-		net = netem.NewPartitioned(eng.Schedulers(), topo.MultipathAssign(domains),
-			func(src, dst int) netem.CrossPost { return eng.Boundary(src, dst) })
-		runner = eng
-	} else {
-		sched := sim.NewScheduler()
-		net = netem.New(sched)
-		runner = sched
-	}
+func buildVirtualNet(p Params, paths int, detectOnly bool, compromise func(path, hop int) switching.Behavior) (*sim.Scheduler, *topo.Multipath, *traffic.Host, *traffic.Host) {
+	sched := sim.NewScheduler()
+	net := netem.New(sched)
 	mp := topo.BuildMultipath(net, topo.MultipathParams{
 		Paths:           paths,
 		HopsPerPath:     2,
-		Link:            link,
+		Link:            p.TrunkLink(),
 		EdgeLink:        p.HostLink(),
 		SwitchProcDelay: p.SwitchProc,
 		SwitchProcQueue: p.SwitchQueue,
@@ -165,21 +148,18 @@ func buildVirtualNet(p Params, paths int, detectOnly bool, compromise func(path,
 		},
 		Compromise: compromise,
 	})
-	h1 := traffic.NewHost(net.SchedulerFor("h1"), "h1", packet.HostMAC(1), packet.HostIP(1), hostCfgOf(p))
-	h2 := traffic.NewHost(net.SchedulerFor("h2"), "h2", packet.HostMAC(2), packet.HostIP(2), hostCfgOf(p))
+	h1 := traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), hostCfgOf(p))
+	h2 := traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), hostCfgOf(p))
 	net.Add(h1)
 	net.Add(h2)
 	net.Connect(h1, traffic.HostPort, mp.Left, core.VirtualHostPort, p.HostLink())
 	net.Connect(h2, traffic.HostPort, mp.Right, core.VirtualHostPort, p.HostLink())
 	mp.Route(h1.MAC(), core.SideLeft)
 	mp.Route(h2.MAC(), core.SideRight)
-	if eng != nil {
-		eng.SetLookahead(net.MinCrossDelay())
-	}
-	return runner, mp, h1, h2
+	return sched, mp, h1, h2
 }
 
-func runVirtualUDP(r sim.Runner, h1, h2 *traffic.Host, p Params) float64 {
+func runVirtualUDP(r *sim.Scheduler, h1, h2 *traffic.Host, p Params) float64 {
 	sink := traffic.NewUDPSink(h2, 5002)
 	src := traffic.NewUDPSource(h1, 4002, h2.Endpoint(5002), traffic.UDPSourceConfig{Rate: 300e6, PayloadSize: 1470})
 	src.Start()

@@ -128,14 +128,22 @@ type emitKey struct {
 	digest packet.Digest
 }
 
-// combTap observes one combiner: which routers emitted which frames
-// (no-forgery ledger) and what the compare released. All of a tap's
+// combTap observes one combiner: which routers emitted which frames and
+// whose copies reached the compare wire-corrupted (the no-forgery
+// ledger), and what the compare released. All of a tap's
 // state is written only from its combiner's domain, so taps need no
 // locking under the partitioned engine; alarms and violations are
 // collected per combiner and merged deterministically after the run
 // (identically in serial mode, so observations stay byte-identical).
 type combTap struct {
 	emitted map[emitKey]uint16 // bitmask of router indices
+	// corrupted is the wire's share of the ledger: the routers whose
+	// copy of a frame reached the compare with these bytes because a
+	// trunk Corrupt stage flipped a bit (Meta.Corrupted). Two copies can
+	// take the same flip, and the compare rightly releases that equal
+	// pair as a majority; the ledger credits such a release to the wire
+	// instead of calling it a router forgery.
+	corrupted map[emitKey]uint16
 	// released is every released frame in release order. The no-forgery
 	// verdict is deferred to end-of-run, when the emission ledger is
 	// complete: under a weakened release threshold plus trunk reordering,
@@ -175,7 +183,7 @@ func ExecuteP(sc Scenario, partitions int) (RunResult, error) {
 	majority := sc.K/2 + 1
 	forgeryChecked := sc.K >= 3 // k=2 releases on first copy by design
 	for ci, comb := range f.combs {
-		tap := &combTap{emitted: make(map[emitKey]uint16)}
+		tap := &combTap{emitted: make(map[emitKey]uint16), corrupted: make(map[emitKey]uint16)}
 		for d := 0; d < 2; d++ {
 			tap.dirs[d] = &dirTap{seq: sha256.New()}
 		}
@@ -191,6 +199,17 @@ func ExecuteP(sc Scenario, partitions int) (RunResult, error) {
 				}
 				key := emitKey{edge: outPort, digest: packet.DigestBytes(pkt.Marshal())}
 				tap.emitted[key] |= 1 << ri
+			}
+		}
+		if forgeryChecked {
+			for ei, edge := range [2]*core.EdgeSwitch{comb.Left, comb.Right} {
+				ei := ei
+				edge.OnToCompare = func(ri int, pkt *packet.Packet) {
+					if pkt.Meta.Corrupted {
+						key := emitKey{edge: ei, digest: packet.DigestBytes(pkt.Marshal())}
+						tap.corrupted[key] |= 1 << ri
+					}
+				}
 			}
 		}
 		ci := ci
@@ -227,15 +246,16 @@ func ExecuteP(sc Scenario, partitions int) (RunResult, error) {
 	// Run the fixed timeline to quiescence.
 	f.runner.RunUntil(settleTime + windowTime + drainTime)
 
-	// No-forgery, against the now-complete emission ledger: every
-	// released frame must have been emitted by a strict majority of its
-	// combiner's routers at some point in the run.
+	// No-forgery, against the now-complete ledger: every released frame
+	// must have reached the compare from a strict majority of its
+	// combiner's routers, each copy either emitted with these bytes by
+	// its router or corrupted into them on the wire.
 	for ci, tap := range taps {
 		for _, key := range tap.released {
-			if n := bits.OnesCount16(tap.emitted[key]); n < majority {
+			if n := bits.OnesCount16(tap.emitted[key] | tap.corrupted[key]); n < majority {
 				tap.violations = append(tap.violations, Violation{
 					Oracle: OracleNoForgery,
-					Detail: fmt.Sprintf("combiner %d edge %d released a frame emitted by %d of %d routers (majority %d)",
+					Detail: fmt.Sprintf("combiner %d edge %d released a frame emitted or wire-corrupted by %d of %d routers (majority %d)",
 						ci, key.edge, n, sc.K, majority),
 				})
 			}

@@ -120,7 +120,7 @@ func TestImpairValidateBounds(t *testing.T) {
 		{GEBadGoodPct: 25},                   // GE missing the entry rate
 		{GEGoodBadPct: 40, GEBadGoodPct: 25}, // entry rate beyond cap
 		{DupPct: 11},                         // beyond the dup cap
-		{CorruptPct: 6},                      // beyond the no-forgery bound
+		{CorruptPct: 6},                      // beyond the corruption cap
 		{ReorderPct: 120, ReorderUs: 50},     // not a probability
 		{ReorderPct: 25},                     // reorder without jitter
 		{ReorderPct: 25, ReorderUs: 5000},    // jitter beyond cap

@@ -54,7 +54,8 @@ func (r CheckResult) Oracles() []string {
 // different packets (adversarial timing shifts what is on the wire when
 // a loss draw fires), so equality of egress multisets is not a claim the
 // combiner makes. No-forgery and determinism stay fully armed under
-// noise — corruption bounded at 5% cannot forge a majority (see
+// noise — the no-forgery ledger credits a majority of identically
+// wire-corrupted copies to the wire, not to a router (see
 // ImpairConfig.CorruptPct), and the impairment PRNGs are seeded from the
 // genome alone.
 func Check(sc Scenario) (CheckResult, error) {

@@ -133,11 +133,13 @@ type ImpairConfig struct {
 	// so trunk dups exercise the dup-suppression path without demanding
 	// an alarm.
 	DupPct float64 `json:"dup_pct,omitempty"`
-	// CorruptPct flips one bit per affected frame. Bounded at 5% so the
-	// chance of two trunk copies of the same frame taking the *same*
-	// flip — the only way line noise could forge a majority — stays
-	// negligible (~1e-9 per frame at the bound) and no-forgery can stay
-	// armed under noise.
+	// CorruptPct flips one bit per affected frame. Two trunk copies of
+	// one frame can take the same flip (for k=3, a 64 B payload at 1%,
+	// about 6e-7 per frame), and the compare rightly releases that equal
+	// pair as a majority. No-forgery stays armed because its ledger
+	// counts copies that reach the compare wire-corrupted, crediting such
+	// a release to the wire rather than to a router. The 5% cap only
+	// keeps fuzz noise light, like the other stages' caps.
 	CorruptPct float64 `json:"corrupt_pct,omitempty"`
 	// ReorderPct delays the affected fraction by up to ReorderUs extra
 	// microseconds, reordering them past later sends.
@@ -182,7 +184,6 @@ func (c *ImpairConfig) validate() error {
 		return fmt.Errorf("dup_pct %g out of range [0,10]", c.DupPct)
 	}
 	if c.CorruptPct < 0 || c.CorruptPct > 5 {
-		// The no-forgery bound, see the field comment.
 		return fmt.Errorf("corrupt_pct %g out of range [0,5]", c.CorruptPct)
 	}
 	if c.ReorderPct < 0 || c.ReorderPct > 100 {

@@ -9,15 +9,23 @@ package runner
 
 import (
 	"context"
-
-	"netco/internal/pool"
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
 )
 
 // PanicError wraps a panic recovered from one run, failing that run
-// instead of the process. It is pool.PanicError re-exported; the pool
-// machinery itself lives below the simulation packages so topology
-// builders can share it (see internal/pool).
-type PanicError = pool.PanicError
+// instead of the process. Error() deliberately excludes the stack (it
+// contains nondeterministic addresses); artifacts stay reproducible and
+// the full trace remains available via Stack.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // Map runs fn(0..n-1) across a pool of workers and returns the results
 // in index order, independent of completion order. workers <= 0 uses
@@ -26,5 +34,48 @@ type PanicError = pool.PanicError
 // without invoking fn (in-flight runs finish — the simulator has no
 // preemption points). errs[i] is nil exactly when results[i] is valid.
 func Map[R any](ctx context.Context, workers, n int, fn func(int) (R, error)) (results []R, errs []error) {
-	return pool.Map(ctx, workers, n, fn)
+	results = make([]R, n)
+	errs = make([]error, n)
+	if n == 0 {
+		return results, errs
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					errs[i] = err
+					continue // keep draining so every index is marked
+				}
+				results[i], errs[i] = protect(fn, i)
+			}
+		}()
+	}
+	wg.Wait()
+	return results, errs
+}
+
+// protect invokes fn(i), converting a panic into a *PanicError.
+func protect[R any](fn func(int) (R, error), i int) (result R, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			var zero R
+			result, err = zero, &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
 }

@@ -6,7 +6,8 @@ import (
 	"strings"
 )
 
-// Partition assignment for the parallel engine (internal/sim/par).
+// Partition assignment for the parallel engine (internal/sim/par), on
+// which the fuzzing harness's determinism oracle re-executes scenarios.
 //
 // Every scheme follows one rule: nodes that share mutable state through
 // direct method calls — a combiner's edges, routers and compare (the
@@ -17,21 +18,6 @@ import (
 // requested domain count round-robin, so any domain count from 1 to the
 // unit count is valid and produces the same simulation (bit-identical —
 // see the par package doc).
-
-// TestbedAssign partitions the Fig. 3 testbed: the whole combiner is
-// unit 0, h1 unit 1, h2 unit 2. Useful domain counts are 1..3.
-func TestbedAssign(domains int) func(name string) int {
-	return func(name string) int {
-		u := 0
-		switch name {
-		case "h1":
-			u = 1
-		case "h2":
-			u = 2
-		}
-		return u % domains
-	}
-}
 
 // FatTreeAssign partitions a k-ary fat tree: pod p is unit p, core c is
 // unit k + c/(k/2) (one unit per core group), so there are k + k/2
@@ -61,30 +47,6 @@ func FatTreeAssign(arity, domains int) func(name string) int {
 			u = arity + c/half
 		default:
 			panic(fmt.Sprintf("topo: node %q has no fat-tree partition (name it pod<p>-...)", name))
-		}
-		return u % domains
-	}
-}
-
-// MultipathAssign partitions the §VII network: vleft is unit 0, vright
-// unit 1, path i unit 2+i. The end hosts ride with their edges (h1 with
-// vleft, h2 with vright). Useful domain counts are 1..2+paths.
-func MultipathAssign(domains int) func(name string) int {
-	return func(name string) int {
-		var u int
-		switch {
-		case name == "vleft" || name == "h1":
-			u = 0
-		case name == "vright" || name == "h2":
-			u = 1
-		case strings.HasPrefix(name, "p") && strings.Contains(name, "-"):
-			i, err := strconv.Atoi(name[1:strings.Index(name, "-")])
-			if err != nil {
-				panic(fmt.Sprintf("topo: cannot parse path index in node name %q", name))
-			}
-			u = 2 + i
-		default:
-			panic(fmt.Sprintf("topo: node %q has no multipath partition", name))
 		}
 		return u % domains
 	}

@@ -14,7 +14,6 @@ import (
 	"netco/internal/openflow"
 	"netco/internal/packet"
 	"netco/internal/sim"
-	"netco/internal/sim/par"
 	"netco/internal/switching"
 	"netco/internal/traffic"
 )
@@ -71,27 +70,14 @@ type TestbedParams struct {
 	// Compromise optionally returns a behavior for router i (nil =
 	// honest); used by attack experiments.
 	Compromise func(i int) switching.Behavior
-
-	// Partitions > 1 runs the testbed on the parallel engine, splitting
-	// it into up to three domains (combiner, h1, h2). The result is
-	// bit-identical to the serial build. POX testbeds and testbeds whose
-	// host links have no propagation delay fall back to serial (the
-	// former shares a controller across switches, the latter has no
-	// lookahead bound).
-	Partitions int
-	// Workers bounds the engine's worker goroutines (0 = GOMAXPROCS).
-	Workers int
 }
 
 // Testbed is an assembled Fig. 3 network.
 type Testbed struct {
-	// Sched is the single scheduler of a serial build; nil when the
-	// testbed is partitioned. Drivers should advance time through Runner,
-	// which is set in both modes.
+	// Sched is the testbed's scheduler; Runner is the same scheduler
+	// as a sim.Runner, for drivers that only advance time.
 	Sched  *sim.Scheduler
 	Runner sim.Runner
-	// Engine is the parallel engine of a partitioned build, nil otherwise.
-	Engine *par.Engine
 	Net    *netem.Network
 	H1     *traffic.Host
 	H2     *traffic.Host
@@ -118,34 +104,18 @@ func (tb *Testbed) Close() {
 
 // BuildTestbed assembles the testbed per the parameters.
 func BuildTestbed(p TestbedParams) *Testbed {
-	tb := &Testbed{}
-	domains := p.Partitions
-	if domains > 3 {
-		domains = 3 // the testbed has only three independent units
-	}
-	var net *netem.Network
-	if domains > 1 && p.Kind != KindPOX && p.HostLink.Delay > 0 {
-		eng := par.New(domains, p.Workers)
-		net = netem.NewPartitioned(eng.Schedulers(), TestbedAssign(domains),
-			func(src, dst int) netem.CrossPost { return eng.Boundary(src, dst) })
-		tb.Engine = eng
-		tb.Runner = eng
-	} else {
-		sched := sim.NewScheduler()
-		net = netem.New(sched)
-		tb.Sched = sched
-		tb.Runner = sched
-	}
-	tb.Net = net
+	sched := sim.NewScheduler()
+	net := netem.New(sched)
+	tb := &Testbed{Sched: sched, Runner: sched, Net: net}
 
-	tb.H1 = traffic.NewHost(net.SchedulerFor("h1"), "h1", packet.HostMAC(1), packet.HostIP(1), p.Host)
-	tb.H2 = traffic.NewHost(net.SchedulerFor("h2"), "h2", packet.HostMAC(2), packet.HostIP(2), p.Host)
+	tb.H1 = traffic.NewHost(sched, "h1", packet.HostMAC(1), packet.HostIP(1), p.Host)
+	tb.H2 = traffic.NewHost(sched, "h2", packet.HostMAC(2), packet.HostIP(2), p.Host)
 	net.Add(tb.H1)
 	net.Add(tb.H2)
 
 	newRouter := func(i int) *switching.Switch {
 		name := fmt.Sprintf("r%d", i)
-		sw := switching.New(net.SchedulerFor(name), switching.Config{
+		sw := switching.New(sched, switching.Config{
 			Name:       name,
 			DatapathID: uint64(100 + i),
 			ProcDelay:  p.SwitchProcDelay,
@@ -186,9 +156,6 @@ func BuildTestbed(p TestbedParams) *Testbed {
 		tb.Routers = tb.Combiner.Routers
 		tb.Combiner.AttachHost(net, core.SideLeft, tb.H1, traffic.HostPort, tb.H1.MAC(), p.HostLink)
 		tb.Combiner.AttachHost(net, core.SideRight, tb.H2, traffic.HostPort, tb.H2.MAC(), p.HostLink)
-	}
-	if tb.Engine != nil {
-		tb.Engine.SetLookahead(net.MinCrossDelay())
 	}
 	return tb
 }

@@ -404,16 +404,6 @@ func RunCaseStudy(p Params) CaseStudyResult { return experiment.RunCaseStudy(p) 
 // RunVirtual demonstrates the §VII virtualized combiner.
 func RunVirtual(p Params) VirtualResult { return experiment.RunVirtual(p) }
 
-// ScaleResult is one run of the fat-tree scaling workload.
-type ScaleResult = experiment.ScaleResult
-
-// RunScale drives cross-pod UDP over a k-ary fat tree, optionally split
-// across the parallel engine's partitions (p.Partitions; bit-identical
-// to serial). The scaling benchmark behind BENCH_5.json.
-func RunScale(p Params, arity int, duration time.Duration) ScaleResult {
-	return experiment.RunScale(p, arity, duration)
-}
-
 // HybridParams sizes one hybrid fluid/packet scenario; HybridResult is
 // its outcome.
 type (
